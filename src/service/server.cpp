@@ -47,9 +47,10 @@ struct ProgressState {
   std::vector<std::atomic<long long>> completed;
 };
 
-/// The non-blocking self-pipe progress callbacks use to wake the poll
-/// loop.  Declared before the Executor in Impl so it outlives the pool
-/// drain — callbacks may write to it until the last campaign finishes.
+/// The non-blocking self-pipe that wakes the poll loop: the executor's
+/// completion hook, progress callbacks and stop() write to it.  Declared
+/// before the Executor in Impl so it outlives the pool drain — workers
+/// may write to it until the last campaign finishes.
 struct WakePipe {
   int read_fd = -1;
   int write_fd = -1;
@@ -66,22 +67,30 @@ struct WakePipe {
     close(read_fd);
     close(write_fd);
   }
+  /// One wake byte; async-signal-safe.  The pipe is non-blocking, and a
+  /// full pipe already guarantees a pending wakeup.
+  void notify() const {
+    const char byte = 1;
+    [[maybe_unused]] const ssize_t n = ::write(write_fd, &byte, 1);
+  }
+  void drain() const {
+    char buffer[256];
+    while (::read(read_fd, buffer, sizeof(buffer)) > 0) {
+    }
+  }
   WakePipe(const WakePipe&) = delete;
   WakePipe& operator=(const WakePipe&) = delete;
 };
 
 ProgressCallback make_point_progress(std::shared_ptr<ProgressState> state,
-                                     int wake_fd, std::size_t point) {
-  return [state, wake_fd, point](const CampaignProgress& progress) {
+                                     const WakePipe* wake, std::size_t point) {
+  return [state, wake, point](const CampaignProgress& progress) {
     if (state->cancelled.load(std::memory_order_acquire)) return false;
     state->completed[point].store(progress.completed,
                                   std::memory_order_relaxed);
-    if (!state->dirty.exchange(true, std::memory_order_acq_rel)) {
-      // Coalesced wakeup: one pipe byte per dirty transition.  The pipe
-      // is non-blocking; a full pipe already guarantees a pending wakeup.
-      const char byte = 1;
-      [[maybe_unused]] const ssize_t n = ::write(wake_fd, &byte, 1);
-    }
+    // Coalesced wakeup: one pipe byte per dirty transition.
+    if (!state->dirty.exchange(true, std::memory_order_acq_rel))
+      wake->notify();
     return true;
   };
 }
@@ -126,7 +135,8 @@ struct ActiveJob {
   std::vector<CampaignHandle> handles;
   std::shared_ptr<ProgressState> state;  ///< null unless progress_wanted
   /// Refined sweeps run through the non-blocking refinement state machine
-  /// instead of a fixed handle list; collect_ready() pumps it each tick.
+  /// instead of a fixed handle list; collect_ready() pumps it whenever the
+  /// loop wakes.
   std::unique_ptr<RefinementDriver> driver;
 };
 
@@ -163,7 +173,7 @@ struct Server::Impl {
       : config(std::move(cfg)),
         listener(listen_socket(config.address)),
         cache(config.cache_bytes),
-        executor(config.executor_threads) {
+        executor(config.executor_threads, [this] { wake.notify(); }) {
     if (config.max_active_jobs < 1) config.max_active_jobs = 1;
     policy.small_job_cost = config.small_job_runs;
     set_nonblocking(listener.fd());
@@ -377,7 +387,7 @@ struct Server::Impl {
           cfg.adaptive.enabled ? cfg.adaptive.cap(cfg.runs) : cfg.runs;
       if (admitted.state)
         point.config.progress =
-            make_point_progress(admitted.state, wake.write_fd, i);
+            make_point_progress(admitted.state, &wake, i);
       admitted.handles.push_back(executor.submit(
           std::move(point.values), std::move(point.instance),
           std::move(point.adversary), std::move(point.config)));
@@ -390,9 +400,10 @@ struct Server::Impl {
   }
 
   /// Admits a refined sweep: the RefinementDriver submits generation 0
-  /// itself and is pumped from collect_ready() each loop tick, so the
-  /// event loop never blocks on a refinement decision.  Progress wakeups
-  /// ride the same self-pipe as plain jobs.
+  /// itself and is pumped from collect_ready(), so the event loop never
+  /// blocks on a refinement decision.  Each campaign's completion hook
+  /// wakes the loop when a generation lands; progress wakeups ride the
+  /// same self-pipe.
   /// \throws RefineError / ScenarioError on an invalid spec.
   void start_refined_job(PendingJob job) {
     ActiveJob admitted;
@@ -402,13 +413,7 @@ struct Server::Impl {
     admitted.progress_wanted = job.progress_wanted;
     admitted.cache_key = std::move(job.cache_key);
     RefineDriverOptions options;
-    if (job.progress_wanted) {
-      const int wake_fd = wake.write_fd;
-      options.on_progress = [wake_fd] {
-        const char byte = 1;
-        [[maybe_unused]] const ssize_t n = ::write(wake_fd, &byte, 1);
-      };
-    }
+    if (job.progress_wanted) options.on_progress = [this] { wake.notify(); };
     admitted.driver = std::make_unique<RefinementDriver>(
         job.sweep_spec, executor, std::move(options));
     admitted.total = admitted.driver->budget_runs();
@@ -448,7 +453,7 @@ struct Server::Impl {
       bool done = false;
       std::string pump_failure;
       if (it->driver) {
-        // One pump per tick: collects a completed generation and submits
+        // One pump per wakeup: collects a completed generation and submits
         // the next one, or finalises.  Never blocks.
         try {
           done = it->driver->pump();
@@ -627,12 +632,6 @@ struct Server::Impl {
     return true;
   }
 
-  void drain_wake() {
-    char buffer[256];
-    while (::read(wake.read_fd, buffer, sizeof(buffer)) > 0) {
-    }
-  }
-
   // --- graceful degradation ------------------------------------------------
 
   bool client_has_jobs(int fd) const {
@@ -660,18 +659,17 @@ struct Server::Impl {
     return Client::Clock::time_point::max();
   }
 
-  /// Folds the earliest client deadline into the poll timeout.
-  int fold_deadline_timeout(int timeout_ms,
-                            Client::Clock::time_point now) const {
+  /// The poll timeout: block until a socket or a wake byte (-1) unless a
+  /// client deadline is pending, which then bounds the sleep so expiries
+  /// are enforced on time.
+  int poll_timeout_ms(Client::Clock::time_point now) const {
     auto earliest = Client::Clock::time_point::max();
     for (const auto& entry : clients)
       earliest = std::min(earliest, client_deadline(entry.first, entry.second));
-    if (earliest == Client::Clock::time_point::max()) return timeout_ms;
+    if (earliest == Client::Clock::time_point::max()) return -1;
     const auto left =
         std::chrono::duration_cast<std::chrono::milliseconds>(earliest - now);
-    const int until = static_cast<int>(
-        std::clamp<long long>(left.count() + 1, 0, 60'000));
-    return timeout_ms < 0 ? until : std::min(timeout_ms, until);
+    return static_cast<int>(std::clamp<long long>(left.count() + 1, 0, 60'000));
   }
 
   void enforce_deadlines(Client::Clock::time_point now) {
@@ -716,18 +714,15 @@ struct Server::Impl {
         if (!entry.second.outbox.empty()) events |= POLLOUT;
         fds.push_back(pollfd{entry.first, events, 0});
       }
-      // Completion has no notification channel (by design: ready() is a
-      // cheap atomic poll), so tick while anything is active; client
-      // deadlines bound the sleep so expiries are enforced on time.
-      const int timeout_ms = fold_deadline_timeout(active.empty() ? -1 : 10,
-                                                   Client::Clock::now());
-      const int ready =
-          dispatch::poll_fds(fds.data(), fds.size(), timeout_ms);
+      // Campaign completion and progress arrive as wake bytes, so the
+      // loop sleeps until there is something to do.
+      const int timeout_ms = poll_timeout_ms(Client::Clock::now());
+      const int ready = dispatch::poll_fds(fds.data(), fds.size(), timeout_ms);
       if (ready < 0)
         throw ServiceError(std::string("poll: ") + std::strerror(errno));
       if (stop_flag.load(std::memory_order_acquire)) break;
 
-      if (fds[1].revents & POLLIN) drain_wake();
+      if (fds[1].revents & POLLIN) wake.drain();
       if (fds[0].revents & POLLIN) accept_clients();
 
       // Snapshot (fd, revents) first: handling one client can mutate the
@@ -797,9 +792,7 @@ void Server::run() { impl_->run(); }
 void Server::stop() {
   // Async-signal-safe: an atomic store plus one write to the wake pipe.
   impl_->stop_flag.store(true, std::memory_order_release);
-  const char byte = 1;
-  [[maybe_unused]] const ssize_t n =
-      ::write(impl_->wake.write_fd, &byte, 1);
+  impl_->wake.notify();
 }
 
 const std::string& Server::address() const {

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <list>
 #include <mutex>
 #include <optional>
@@ -55,12 +56,21 @@ void validate_campaign_config(const CampaignConfig& config) {
 
 namespace detail {
 
-/// The pool's scheduling lock and wake signal.  Shared between the
-/// executor and every job it created, so a handle-side cancel can wake
-/// idle workers without racing executor destruction.
+/// The pool's scheduling lock and wake signal, plus the optional
+/// completion hook.  Shared between the executor and every job it
+/// created, so a handle-side cancel can wake idle workers (and fire the
+/// hook) without racing executor destruction.
 struct PoolSignal {
+  explicit PoolSignal(std::function<void()> hook)
+      : on_complete(std::move(hook)) {}
   std::mutex mu;
   std::condition_variable cv;
+  /// Fired once per finished campaign, never under a job mutex.
+  const std::function<void()> on_complete;
+
+  void notify_complete() const {
+    if (on_complete) on_complete();
+  }
 };
 
 /// Everything one run contributes to the aggregate, in a form that can be
@@ -312,26 +322,20 @@ class CampaignJob {
     }
     std::unique_lock<std::mutex> lock(mu_);
     inflight_ -= claim.end - claim.begin;
-    if (needs_close_locked()) close(lock);
+    close_if_needed(std::move(lock));
   }
 
   // --- control interface (handles / executor) ----------------------------
 
   /// Handle-side cancellation.  When nothing is executing, the caller
   /// performs the closing pass itself so a cancelled-before-start job
-  /// completes without waiting for a pool worker.
+  /// completes without waiting for a pool worker (and the completion hook
+  /// fires on the caller's thread).
   bool cancel() {
-    bool closed_here = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (finished_) return false;
-      cancel_requested_.store(true, std::memory_order_release);
-      if (needs_close_locked()) {
-        close(lock);
-        closed_here = true;
-      }
-    }
-    if (closed_here) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (finished_) return false;
+    cancel_requested_.store(true, std::memory_order_release);
+    if (close_if_needed(std::move(lock))) {
       // Workers idle-waiting on the pool (e.g. a shutting-down executor
       // whose last job this was) must observe the finish and prune it.
       // Briefly taking the pool mutex makes any mid-scan worker reach its
@@ -348,8 +352,9 @@ class CampaignJob {
   /// `closing_` grants exclusive ownership of the transition; the slow
   /// work (convergence check, final progress flush, reduction) runs with
   /// `mu` released so other jobs — and this job's handle methods — stay
-  /// responsive.  Caller holds `lock` on entry and exit.
-  void close(std::unique_lock<std::mutex>& lock) {
+  /// responsive.  Caller holds `lock` on entry and exit.  Returns true
+  /// when the pass finished the campaign.
+  bool close(std::unique_lock<std::mutex>& lock) {
     closing_ = true;
     for (;;) {
       const bool cancelled =
@@ -391,7 +396,7 @@ class CampaignJob {
         finished_ = true;
         closing_ = false;
         done_cv_.notify_all();
-        return;
+        return true;
       }
       if (flush_failed) continue;  // redo the pass as an errored finish
       // Not finishing: open the next wave.  A cancellation that raced in
@@ -402,8 +407,19 @@ class CampaignJob {
       wave_end_ = boundaries_[wave_];
       claim_size_ = wave_claim_size(wave_begin, wave_end_);
       closing_ = false;
-      return;
+      return false;
     }
+  }
+
+  /// Performs the closing pass when the job needs one.  When the pass
+  /// finishes the campaign, releases `lock` (so the hook may call back
+  /// into any handle) and fires the pool's completion hook.  Returns true
+  /// in that case.
+  bool close_if_needed(std::unique_lock<std::mutex> lock) {
+    if (!needs_close_locked() || !close(lock)) return false;
+    lock.unlock();
+    pool_->notify_complete();
+    return true;
   }
 
   bool ready() const {
@@ -609,8 +625,10 @@ bool CampaignHandle::cancel() {
 struct Executor::Impl {
   /// Guards `active` and `shutdown` and wakes idle workers; shared with
   /// every job (see PoolSignal).
-  std::shared_ptr<detail::PoolSignal> signal =
-      std::make_shared<detail::PoolSignal>();
+  explicit Impl(std::function<void()> on_complete)
+      : signal(std::make_shared<detail::PoolSignal>(std::move(on_complete))) {}
+
+  std::shared_ptr<detail::PoolSignal> signal;
   /// Submission order; finished jobs are pruned during worker scans.
   std::list<std::shared_ptr<detail::CampaignJob>> active;
   bool shutdown = false;
@@ -660,8 +678,7 @@ struct Executor::Impl {
 
       lock.unlock();
       if (close_only) {
-        std::unique_lock<std::mutex> job_lock(job->mutex());
-        if (job->needs_close_locked()) job->close(job_lock);
+        job->close_if_needed(std::unique_lock<std::mutex>(job->mutex()));
       } else {
         job->run_claim(claim, workspace, job_state);
       }
@@ -674,7 +691,8 @@ struct Executor::Impl {
   }
 };
 
-Executor::Executor(int threads) : impl_(std::make_unique<Impl>()) {
+Executor::Executor(int threads, std::function<void()> on_complete)
+    : impl_(std::make_unique<Impl>(std::move(on_complete))) {
   HOVAL_EXPECTS_MSG(threads >= 0,
                     "executor threads must be >= 0 (0 = hardware concurrency)");
   threads_ = resolve_pool_threads(threads);

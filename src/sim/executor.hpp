@@ -43,6 +43,7 @@
 /// single-worker Executor (the per-campaign CampaignConfig::threads knob
 /// cannot restrict a shared pool).
 
+#include <functional>
 #include <memory>
 
 #include "sim/campaign.hpp"
@@ -103,8 +104,19 @@ class Executor {
  public:
   /// Spins up the pool.  `threads` = 0 means one worker per hardware
   /// thread; 1 gives a serial (but still async) executor.
+  ///
+  /// `on_complete`, when set, fires exactly once per submitted campaign,
+  /// on whichever thread finishes it: a pool worker, or the thread whose
+  /// CampaignHandle::cancel() closed a campaign nothing was executing.  It
+  /// fires after the handle is ready() and with no executor lock held, so
+  /// it may call ready()/cancel() on any handle; it must not block on
+  /// another campaign.  It carries no campaign identity — it is a wakeup
+  /// (an event loop's self-pipe write), not a result channel.  A hook
+  /// fired from a canceller may still be running when the destructor
+  /// returns; anything it captures must outlive the cancelling thread's
+  /// call.  Hooks never change results.
   /// \throws PreconditionError on threads < 0.
-  explicit Executor(int threads = 0);
+  explicit Executor(int threads = 0, std::function<void()> on_complete = {});
 
   /// Drains: blocks until every submitted campaign has finished (cancel
   /// handles first for a fast exit), then joins the workers.

@@ -2,15 +2,17 @@
 /// server on a real socket: daemon-served scenario and sweep results must
 /// be byte-identical to local run_scenario()/run_sweep() output, repeats
 /// must be served from the spec-hash cache without executing runs,
-/// concurrent clients must not perturb each other, and a disconnect must
+/// concurrent clients must not perturb each other, a disconnect must
 /// cancel the client's in-flight jobs while other clients' jobs finish
-/// untouched.
+/// untouched, and a job whose only wakeup is the executor's completion
+/// hook must still be answered.
 
 #include "service/server.hpp"
 
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -19,6 +21,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -213,6 +216,163 @@ TEST(Daemon, TcpLoopbackServesTheSameBytes) {
   const JobOutcome outcome = client.submit_scenario(spec.to_json());
   ASSERT_TRUE(outcome.ok) << outcome.error;
   EXPECT_EQ(outcome.result.dump(), local_scenario_bytes(spec));
+}
+
+// --- event-driven completion -----------------------------------------------
+
+/// A server with both client deadlines off.  Its poll loop then sleeps
+/// with no timeout, so once a job is submitted without progress, the
+/// executor's completion hook is the only thing that can wake it.
+ServerConfig hook_only_config() {
+  ServerConfig config;
+  config.hello_timeout_ms = 0;
+  config.idle_timeout_ms = 0;
+  return config;
+}
+
+/// A raw protocol connection whose reads give up after a deadline, so a
+/// lost completion wakeup fails the test instead of hanging it.
+class DeadlineConnection {
+ public:
+  explicit DeadlineConnection(const std::string& address,
+                              int deadline_ms = 60'000)
+      : fd_(connect_socket(address)) {
+    timeval timeout{};
+    timeout.tv_sec = deadline_ms / 1000;
+    timeout.tv_usec = (deadline_ms % 1000) * 1000;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    send(encode_hello());
+    const std::optional<ServerMessage> hello = next();
+    if (!hello || hello->type != ServerMessage::Type::kHello)
+      throw ServiceError("no hello from the server");
+  }
+  ~DeadlineConnection() { ::close(fd_); }
+  DeadlineConnection(const DeadlineConnection&) = delete;
+  DeadlineConnection& operator=(const DeadlineConnection&) = delete;
+
+  void submit(int id, bool sweep, const Json& spec) {
+    send(encode_submit(id, sweep, spec, /*progress=*/false));
+  }
+  void cancel(int id) { send(encode_cancel(id)); }
+
+  /// Job `id`'s result or error frame, or nullopt when the deadline
+  /// passed first.
+  std::optional<ServerMessage> answer(int id) {
+    for (;;) {
+      std::optional<ServerMessage> message = next();
+      if (!message || message->id == id) return message;
+    }
+  }
+
+ private:
+  void send(const std::string& payload) {
+    if (!dispatch::write_frame(fd_, payload))
+      throw ServiceError("write to the server failed");
+  }
+  std::optional<ServerMessage> next() {
+    const std::optional<std::string> frame =
+        dispatch::read_frame(fd_, decoder_);
+    if (!frame) return std::nullopt;
+    return parse_server_message(*frame);
+  }
+
+  int fd_;
+  dispatch::FrameDecoder decoder_;
+};
+
+/// Expects `answer` to be a result frame and returns its document's bytes.
+std::string result_bytes(const std::optional<ServerMessage>& answer) {
+  if (!answer) {
+    ADD_FAILURE() << "no answer within the read deadline (lost wakeup?)";
+    return {};
+  }
+  EXPECT_EQ(answer->type, ServerMessage::Type::kResult) << answer->what;
+  return answer->result.dump();
+}
+
+/// Seconds of work in short runs claimed one at a time, so a cancel lands
+/// within one run even under a sanitizer.
+ScenarioSpec cancellable_spec() {
+  ScenarioSpec spec = small_spec(5000);
+  spec.campaign.rounds = 2000;
+  spec.campaign.stop_when_all_decided = false;
+  spec.campaign.batch_size = 1;
+  return spec;
+}
+
+/// Termination as a function of the horizon is a step (see refine_test),
+/// so the driver subdivides [1, 16] for several generations.
+SweepSpec multi_generation_refined_sweep() {
+  return SweepSpec::from_json_text(R"({
+    "scenario": {
+      "algorithm": {"name": "utea", "params": {"n": 6, "alpha": 1}},
+      "values": {"name": "unanimous", "params": {"value": 1}},
+      "campaign": {"runs": 40, "rounds": 1, "seed": 1234}
+    },
+    "axes": [{"path": "campaign.rounds", "points": [1, 16]}],
+    "refine": {"monitor": "termination", "max_depth": 4}
+  })");
+}
+
+TEST(DaemonWake, ScenarioJobsAreAnsweredWithoutProgressOrDeadlines) {
+  ServerFixture fixture(hook_only_config());
+  DeadlineConnection connection(fixture.address());
+  for (int id = 0; id < 4; ++id) {
+    const ScenarioSpec spec = small_spec(200, 100 + id);
+    connection.submit(id, /*sweep=*/false, spec.to_json());
+    EXPECT_EQ(result_bytes(connection.answer(id)), local_scenario_bytes(spec));
+  }
+}
+
+TEST(DaemonWake, MultiPointSweepIsAnsweredWithoutProgressOrDeadlines) {
+  ServerFixture fixture(hook_only_config());
+  SweepSpec sweep;
+  sweep.base = small_spec(60);
+  sweep.axes.push_back(SweepAxis::single(
+      "campaign.seed", {Json(1), Json(2), Json(3), Json(4), Json(5)}));
+  DeadlineConnection connection(fixture.address());
+  connection.submit(7, /*sweep=*/true, sweep.to_json());
+  EXPECT_EQ(result_bytes(connection.answer(7)), local_sweep_bytes(sweep));
+}
+
+TEST(DaemonWake, RefinedSweepGenerationsAreCollectedWithoutProgress) {
+  // Every generation lands only as a completion hook; a lost wakeup would
+  // stall the driver between generations.
+  ServerFixture fixture(hook_only_config());
+  const SweepSpec sweep = multi_generation_refined_sweep();
+  DeadlineConnection connection(fixture.address());
+  connection.submit(3, /*sweep=*/true, sweep.to_json());
+  const std::optional<ServerMessage> answer = connection.answer(3);
+  EXPECT_EQ(result_bytes(answer), run_refined_sweep(sweep).to_json().dump());
+  ASSERT_TRUE(answer.has_value());
+  EXPECT_GE(RefinedSweepResult::from_json(answer->result).generations, 4);
+}
+
+TEST(DaemonWake, CancelThenResubmitIsAnsweredWithLocalBytes) {
+  ServerFixture fixture(hook_only_config());
+  DeadlineConnection connection(fixture.address());
+
+  // A cancelled long job is answered promptly, and its id is free again.
+  connection.submit(1, /*sweep=*/false, cancellable_spec().to_json());
+  connection.cancel(1);
+  const std::optional<ServerMessage> cancelled = connection.answer(1);
+  ASSERT_TRUE(cancelled.has_value()) << "cancel never answered";
+  EXPECT_EQ(cancelled->type, ServerMessage::Type::kError);
+  EXPECT_NE(cancelled->what.find("cancel"), std::string::npos)
+      << cancelled->what;
+  const ScenarioSpec small = small_spec(40);
+  connection.submit(1, /*sweep=*/false, small.to_json());
+  EXPECT_EQ(result_bytes(connection.answer(1)), local_scenario_bytes(small));
+
+  // A refined sweep cancelled right after submission may be answered
+  // either way, but the resubmission always yields the local bytes.
+  const SweepSpec sweep = multi_generation_refined_sweep();
+  connection.submit(2, /*sweep=*/true, sweep.to_json());
+  connection.cancel(2);
+  ASSERT_TRUE(connection.answer(2).has_value()) << "cancel never answered";
+  connection.submit(2, /*sweep=*/true, sweep.to_json());
+  EXPECT_EQ(result_bytes(connection.answer(2)),
+            run_refined_sweep(sweep).to_json().dump());
 }
 
 // --- the cache -------------------------------------------------------------

@@ -1,9 +1,10 @@
 /// The acceptance contract of the persistent Executor (sim/executor.hpp):
 /// campaigns submitted to a shared pool — at any pool size, under any
 /// submission interleaving, overlapped with whole sweeps — are
-/// bit-identical to the classic one-campaign CampaignEngine path, and
+/// bit-identical to the classic one-campaign CampaignEngine path,
 /// CampaignHandle's cancel/ready/wait/result semantics hold from
-/// cancel-before-start through cancel-midway to post-completion.
+/// cancel-before-start through cancel-midway to post-completion, and the
+/// completion hook fires exactly once per campaign on every finishing path.
 
 #include "sim/executor.hpp"
 
@@ -24,6 +25,7 @@
 #include "scenario/spec.hpp"
 #include "sim/engine.hpp"
 #include "sim/initial_values.hpp"
+#include "sim/result_json.hpp"
 #include "util/check.hpp"
 
 namespace hoval {
@@ -379,6 +381,273 @@ TEST(Executor, ValidatesConfigAndThreadsAtSubmit) {
                                ate_instance(AteParams::canonical(9, 2)),
                                corruption_of(2), base_config(10, 1)),
                PreconditionError);
+}
+
+// --- completion hook --------------------------------------------------------
+
+/// Records every completion-hook call.  From inside the hook it checks
+/// that at least as many watched campaigns are ready() as hooks have
+/// fired (each hook follows its campaign's finish), and calls ready() and
+/// cancel() on every watched handle — a hook run under a job lock would
+/// deadlock right there.  Tests watch a handle before its campaign can
+/// finish.  Declared before the Executor it observes, so it outlives the
+/// pool drain.
+class HookProbe {
+ public:
+  std::function<void()> hook() {
+    return [this] { on_complete(); };
+  }
+
+  /// Adds a handle the hook inspects.
+  void watch(const CampaignHandle& handle) {
+    std::lock_guard<std::mutex> lock(mu_);
+    watched_.push_back(handle);
+  }
+
+  /// Waits (bounded) until the hook has fired `count` times.
+  bool wait_fired(int count) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(30),
+                        [&] { return fired_ >= count; });
+  }
+
+  int fired() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return fired_;
+  }
+  bool ready_before_hook() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return ready_before_hook_;
+  }
+  std::thread::id last_thread() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return last_thread_;
+  }
+
+ private:
+  void on_complete() {
+    std::vector<CampaignHandle> handles;
+    int fired = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      handles = watched_;
+      fired = fired_;
+    }
+    int ready = 0;
+    for (CampaignHandle& handle : handles) {
+      if (!handle.ready()) continue;
+      ++ready;
+      handle.cancel();  // finished: a no-op that must not deadlock
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (ready < fired + 1) ready_before_hook_ = false;
+    ++fired_;
+    last_thread_ = std::this_thread::get_id();
+    cv_.notify_all();
+  }
+
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<CampaignHandle> watched_;
+  int fired_ = 0;
+  bool ready_before_hook_ = true;
+  std::thread::id last_thread_;
+};
+
+/// Blocks every run of a campaign at its value draw until open().
+class Gate {
+ public:
+  ValueGenerator guard(ValueGenerator inner) {
+    return [this, inner](Rng& rng) {
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait(lock, [&] { return open_; });
+      }
+      return inner(rng);
+    };
+  }
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+TEST(ExecutorHook, FiresOnceForAFixedBudgetAfterTheHandleIsReady) {
+  HookProbe probe;
+  Gate gate;
+  CampaignResult result;
+  {
+    Executor executor(2, probe.hook());
+    CampaignHandle handle = executor.submit(
+        gate.guard(random_of(9, 3)), ate_instance(AteParams::canonical(9, 2)),
+        corruption_of(2), base_config(64, 0xEB61));
+    probe.watch(handle);
+    gate.open();
+    ASSERT_TRUE(probe.wait_fired(1));
+    EXPECT_TRUE(handle.ready());
+    result = handle.take();
+  }
+  EXPECT_EQ(result.runs, 64);
+  EXPECT_EQ(probe.fired(), 1);  // still once after the pool drained
+  EXPECT_TRUE(probe.ready_before_hook());
+}
+
+TEST(ExecutorHook, FiresOnceForAnAdaptiveEarlyStop) {
+  CampaignConfig config = base_config(4096, 0xADA0);
+  config.adaptive.enabled = true;
+  config.adaptive.min_runs = 32;
+  config.adaptive.ci_epsilon = 0.2;
+  config.adaptive.ci_confidence = 0.9;
+  HookProbe probe;
+  Gate gate;
+  CampaignResult result;
+  {
+    Executor executor(2, probe.hook());
+    CampaignHandle handle = executor.submit(
+        gate.guard(random_of(9, 3)), ate_instance(AteParams::canonical(9, 2)),
+        corruption_of(2), config);
+    probe.watch(handle);
+    gate.open();
+    ASSERT_TRUE(probe.wait_fired(1));
+    result = handle.take();
+  }
+  EXPECT_TRUE(result.stopped_early);
+  EXPECT_LT(result.runs, 4096);
+  EXPECT_EQ(probe.fired(), 1);  // one hook, not one per wave
+  EXPECT_TRUE(probe.ready_before_hook());
+}
+
+TEST(ExecutorHook, CancelBeforeStartFiresOnTheCancellersThread) {
+  HookProbe probe;
+  Gate gate;
+  {
+    // The single worker is parked inside `busy`, so `doomed` never starts
+    // and the cancel closes it on this thread.
+    Executor executor(1, probe.hook());
+    CampaignHandle busy = executor.submit(
+        gate.guard(random_of(9, 3)), ate_instance(AteParams::canonical(9, 2)),
+        corruption_of(2), base_config(32, 0xEB61));
+    CampaignHandle doomed = executor.submit(
+        random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
+        corruption_of(2), base_config(32, 0xD00D));
+    probe.watch(doomed);
+
+    EXPECT_TRUE(doomed.cancel());
+    EXPECT_EQ(probe.fired(), 1);  // synchronously, before cancel() returned
+    EXPECT_EQ(probe.last_thread(), std::this_thread::get_id());
+    EXPECT_TRUE(doomed.result().cancelled);
+    EXPECT_EQ(doomed.result().runs, 0);
+    EXPECT_FALSE(doomed.cancel());
+    EXPECT_EQ(probe.fired(), 1);
+
+    probe.watch(busy);
+    gate.open();
+    ASSERT_TRUE(probe.wait_fired(2));
+    EXPECT_EQ(busy.result().runs, 32);
+    EXPECT_NE(probe.last_thread(), std::this_thread::get_id());
+  }
+  EXPECT_EQ(probe.fired(), 2);
+  EXPECT_TRUE(probe.ready_before_hook());
+}
+
+TEST(ExecutorHook, FiresOnceWhenCancelledMidway) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool progress_seen = false;
+  bool cancel_issued = false;
+  CampaignConfig config = base_config(4096, 0xEB61);
+  config.progress_batch = 16;
+  config.progress = [&](const CampaignProgress&) {
+    std::unique_lock<std::mutex> lock(mu);
+    progress_seen = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return cancel_issued; });
+    return true;
+  };
+
+  HookProbe probe;
+  {
+    Executor executor(2, probe.hook());
+    CampaignHandle handle = executor.submit(
+        random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
+        corruption_of(2), config);
+    probe.watch(handle);
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return progress_seen; });
+    }
+    // A worker is mid-claim, so the cancel cannot close the campaign here;
+    // the hook fires from the worker that releases the last claim.
+    EXPECT_TRUE(handle.cancel());
+    EXPECT_EQ(probe.fired(), 0);
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      cancel_issued = true;
+    }
+    cv.notify_all();
+    ASSERT_TRUE(probe.wait_fired(1));
+    EXPECT_TRUE(handle.result().cancelled);
+    EXPECT_GT(handle.result().runs, 0);
+  }
+  EXPECT_EQ(probe.fired(), 1);
+  EXPECT_TRUE(probe.ready_before_hook());
+}
+
+TEST(ExecutorHook, FiresOnceWhenABuilderFails) {
+  HookProbe probe;
+  Gate gate;
+  {
+    Executor executor(2, probe.hook());
+    const auto throwing_instance = [](const std::vector<Value>&) {
+      return ProcessVector{};  // size mismatch trips the run precondition
+    };
+    CampaignHandle failing = executor.submit(
+        gate.guard(random_of(9, 3)), throwing_instance, corruption_of(2),
+        base_config(32, 0xEB61));
+    probe.watch(failing);
+    gate.open();
+    ASSERT_TRUE(probe.wait_fired(1));
+    EXPECT_THROW(failing.result(), PreconditionError);
+  }
+  EXPECT_EQ(probe.fired(), 1);
+  EXPECT_TRUE(probe.ready_before_hook());
+}
+
+TEST(ExecutorHook, HookedAndPlainExecutorsGiveIdenticalBytes) {
+  CampaignConfig adaptive = base_config(512, 0xADA1);
+  adaptive.adaptive.enabled = true;
+  adaptive.adaptive.min_runs = 32;
+  adaptive.adaptive.ci_epsilon = 0.04;
+  const std::vector<CampaignConfig> configs = {base_config(96, 0xEB62),
+                                               adaptive};
+  auto run_all = [&](Executor& executor) {
+    std::vector<CampaignHandle> handles;
+    for (const CampaignConfig& config : configs)
+      handles.push_back(executor.submit(
+          random_of(9, 3), ate_instance(AteParams::canonical(9, 2)),
+          corruption_of(2), config));
+    std::vector<CampaignResult> results;
+    for (CampaignHandle& handle : handles) results.push_back(handle.take());
+    return campaign_results_to_json(results).dump();
+  };
+  Executor plain(3);
+  const std::string reference = run_all(plain);
+  std::atomic<int> fired{0};
+  std::string hooked_bytes;
+  {
+    Executor hooked(3, [&fired] { fired.fetch_add(1); });
+    hooked_bytes = run_all(hooked);
+  }
+  EXPECT_EQ(hooked_bytes, reference);
+  EXPECT_EQ(fired.load(), 2);
 }
 
 // --- sweep-level cancellation ----------------------------------------------
