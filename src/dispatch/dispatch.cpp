@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <memory>
@@ -13,15 +14,18 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "dispatch/stream.hpp"
 #include "dispatch/wire.hpp"
-#include "dispatch/worker.hpp"
 #include "scenario/run.hpp"
+#include "service/protocol.hpp"
 #include "sim/result_json.hpp"
+#include "util/faults.hpp"
 #include "util/format.hpp"
+#include "util/rng.hpp"
 
 namespace hoval::dispatch {
 
@@ -37,9 +41,9 @@ void set_cloexec(int fd) {
 struct WorkerProc {
   int slot = -1;  ///< spawn sequence number (initial workers: 0..N-1)
   pid_t pid = -1;
-  int to_fd = -1;    ///< host -> worker point frames
-  int from_fd = -1;  ///< worker -> host result frames
+  int fd = -1;  ///< host end of the worker's socketpair
   FrameDecoder decoder;
+  bool greeted = false;  ///< the worker's hello has arrived
   int current_point = -1;  ///< in-flight point, -1 when idle
   int results_delivered = 0;
   Clock::time_point assigned_at{};
@@ -91,10 +95,7 @@ class Dispatcher {
     ScopedSigpipeIgnore sigpipe;
     const int initial =
         std::min(options_.workers, std::max(1, report_.points));
-    for (int slot = 0; slot < initial; ++slot) {
-      WorkerProc* worker = spawn();
-      if (worker) assign_next(*worker);
-    }
+    for (int slot = 0; slot < initial; ++slot) spawn();
     while (done_ < report_.points) {
       if (live_.empty() && !ensure_capacity()) {
         quarantine_pending("no workers left (respawn budget exhausted)");
@@ -115,36 +116,38 @@ class Dispatcher {
 
   // --- spawning ------------------------------------------------------------
 
-  WorkerProc* spawn() {
-    int to_pipe[2], from_pipe[2];
-    if (::pipe(to_pipe) != 0)
-      throw DispatchError(std::string("pipe: ") + std::strerror(errno));
-    if (::pipe(from_pipe) != 0) {
-      ::close(to_pipe[0]);
-      ::close(to_pipe[1]);
-      throw DispatchError(std::string("pipe: ") + std::strerror(errno));
-    }
-    // Host-side ends must not leak into later-spawned siblings.
-    set_cloexec(to_pipe[1]);
-    set_cloexec(from_pipe[0]);
+  /// Starts one worker and hands it its first point.
+  void spawn() {
+    int sockets[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sockets) != 0)
+      throw DispatchError(std::string("socketpair: ") + std::strerror(errno));
+    // The host end must not leak into later-spawned siblings.
+    set_cloexec(sockets[0]);
 
     // Everything the child touches is prepared pre-fork: the child of a
     // (possibly multithreaded) host must stick to async-signal-safe calls
     // plus exec.
     //
     // FD_CLOEXEC only applies across exec, so the fork-without-exec child
-    // inherits the host-side pipe ends of every already-live sibling.  If
-    // they stayed open, a worker's stdin would only see EOF once every
-    // later-spawned sibling had exited too (a newest-to-oldest cascade
-    // that one wedged worker stalls forever).  Collect them here and close
-    // them in the child — ::close is async-signal-safe.
+    // inherits the host ends of every already-live sibling.  If they
+    // stayed open, a worker would only see EOF once every later-spawned
+    // sibling had exited too (a newest-to-oldest cascade that one wedged
+    // worker stalls forever).  Collect them here and close them in the
+    // child — ::close is async-signal-safe.
     std::vector<int> sibling_fds;
-    sibling_fds.reserve(live_.size() * 2);
-    for (const auto& other : live_) {
-      sibling_fds.push_back(other->to_fd);
-      sibling_fds.push_back(other->from_fd);
-    }
+    sibling_fds.reserve(live_.size());
+    for (const auto& other : live_) sibling_fds.push_back(other->fd);
     const std::string threads_env = std::to_string(options_.worker_threads);
+    // An exec'd worker installs HOVAL_FAULT_PLAN afresh (a forked one
+    // inherits the host's injector mid-stream).  Reseed the plan per slot:
+    // with one seed, every replacement would replay the exact fault
+    // schedule that killed its predecessor.
+    std::string fault_plan;
+    if (const faults::FaultInjector* injector = faults::active_fault_injector()) {
+      faults::FaultPlan plan = injector->plan();
+      plan.seed = mix_seed(plan.seed, static_cast<std::uint64_t>(next_slot_));
+      fault_plan = plan.to_string();
+    }
     std::vector<std::string> argv_storage = options_.worker_argv;
     std::vector<char*> argv;
     for (std::string& arg : argv_storage) argv.push_back(arg.data());
@@ -152,48 +155,47 @@ class Dispatcher {
 
     const pid_t pid = ::fork();
     if (pid < 0) {
-      ::close(to_pipe[0]);
-      ::close(to_pipe[1]);
-      ::close(from_pipe[0]);
-      ::close(from_pipe[1]);
+      ::close(sockets[0]);
+      ::close(sockets[1]);
       throw DispatchError(std::string("fork: ") + std::strerror(errno));
     }
     if (pid == 0) {
-      ::dup2(to_pipe[0], 0);
-      ::dup2(from_pipe[1], 1);
-      ::close(to_pipe[0]);
-      ::close(to_pipe[1]);
-      ::close(from_pipe[0]);
-      ::close(from_pipe[1]);
+      ::close(sockets[0]);
       for (const int fd : sibling_fds) ::close(fd);
+      // The worker's end goes on fd 0 (last, so no close above can hit it).
+      if (sockets[1] != 0) {
+        ::dup2(sockets[1], 0);
+        ::close(sockets[1]);
+      }
       if (!argv_storage.empty()) {
         ::setenv("HOVAL_WORKER_THREADS", threads_env.c_str(), 1);
+        if (!fault_plan.empty())
+          ::setenv("HOVAL_FAULT_PLAN", fault_plan.c_str(), 1);
         ::execvp(argv[0], argv.data());
         std::_Exit(127);  // exec failed
       }
-      // 4 = run_worker_loop threw (see worker.hpp for codes 0-3); the host
-      // treats any nonzero code as a dead worker, so the distinction is
-      // purely diagnostic.
+      // 4 = the server could not start; the host treats any nonzero code
+      // as a dead worker, so the distinction is purely diagnostic.
       int rc = 4;
       try {
-        rc = run_worker_loop(0, 1, options_.worker_threads);
+        service::Server(worker_server_config(options_.worker_threads), 0)
+            .run();
+        rc = 0;
       } catch (...) {
       }
       std::_Exit(rc);
     }
-    ::close(to_pipe[0]);
-    ::close(from_pipe[1]);
+    ::close(sockets[1]);
 
     auto worker = std::make_unique<WorkerProc>();
     worker->slot = next_slot_++;
     worker->pid = pid;
-    worker->to_fd = to_pipe[1];
-    worker->from_fd = from_pipe[0];
+    worker->fd = sockets[0];
     ++report_.workers_spawned;
     log("worker " + std::to_string(worker->slot) + ": spawned (pid " +
         std::to_string(pid) + ")");
     live_.push_back(std::move(worker));
-    return live_.back().get();
+    assign_next(*live_.back(), /*greet=*/true);
   }
 
   /// Keeps the pool at target size while work remains.  Returns false when
@@ -210,8 +212,7 @@ class Dispatcher {
         if (!live_.empty()) break;
         std::this_thread::sleep_for(next_spawn_allowed_ - now);
       }
-      WorkerProc* worker = spawn();
-      if (worker) assign_next(*worker);
+      spawn();
     }
     return !live_.empty();
   }
@@ -237,21 +238,25 @@ class Dispatcher {
     kWorkerLost,  ///< the write failed: fail_worker ran, `worker` is freed
   };
 
-  /// Hands the next pending point to `worker`.  May fail the worker (a
-  /// dead child surfaces as a write error), in which case `worker` has
-  /// been destroyed and the caller must not touch it again.
-  Assign assign_next(WorkerProc& worker) {
+  /// Submits the next pending point to `worker`, its id being the point
+  /// index; `greet` puts the hello frame in front (a new worker's first
+  /// point — the reply hello is checked when it arrives, not awaited).
+  /// May fail the worker (a dead child surfaces as a write error), in
+  /// which case `worker` has been destroyed and the caller must not touch
+  /// it again.
+  Assign assign_next(WorkerProc& worker, bool greet = false) {
     if (pending_.empty()) return Assign::kIdle;
     const int point = pending_.front();
     pending_.pop_front();
     ++attempts_[static_cast<std::size_t>(point)];
     worker.current_point = point;
     worker.assigned_at = Clock::now();
-    if (!write_frame(worker.to_fd,
-                     encode_point_message(
-                         point, sweep_.expand_point(
-                                    static_cast<std::size_t>(point))
-                                    .to_json()))) {
+    std::string frames = greet ? encode_frame(service::encode_hello()) : "";
+    frames += encode_frame(service::encode_submit(
+        point, /*sweep=*/false,
+        sweep_.expand_point(static_cast<std::size_t>(point)).to_json(),
+        /*progress=*/false));
+    if (!write_all(worker.fd, frames.data(), frames.size())) {
       fail_worker(worker, Loss::kWriteFailed, "write to worker failed");
       return Assign::kWorkerLost;
     }
@@ -286,8 +291,7 @@ class Dispatcher {
   /// in-flight point, arm the crash-loop backoff, refill the pool.
   /// `worker` is destroyed.
   void fail_worker(WorkerProc& worker, Loss kind, const std::string& detail) {
-    ::close(worker.to_fd);
-    ::close(worker.from_fd);
+    ::close(worker.fd);
     int status = 0;
     ::waitpid(worker.pid, &status, 0);  // SIGKILLed/EOF'd children exit soon
     const pid_t pid = worker.pid;
@@ -295,7 +299,7 @@ class Dispatcher {
 
     // The structured reason: the host's own kill wins (timeout), a frame
     // the host rejected stays bad-frame (the exit status is downstream
-    // fallout of closing the pipes), and otherwise the child's exit status
+    // fallout of closing the socket), and otherwise the child's exit status
     // is more specific than how the loss happened to surface host-side.
     std::string reason = loss_name(kind);
     if (worker.timed_out) {
@@ -410,7 +414,7 @@ class Dispatcher {
     std::vector<pid_t> pids;
     fds.reserve(live_.size());
     for (const auto& worker : live_) {
-      fds.push_back({worker->from_fd, POLLIN, 0});
+      fds.push_back({worker->fd, POLLIN, 0});
       pids.push_back(worker->pid);
     }
     const int timeout_ms = next_timeout_ms();
@@ -484,7 +488,7 @@ class Dispatcher {
 
   void handle_readable(WorkerProc& worker) {
     char buffer[64 * 1024];
-    const ssize_t n = read_some(worker.from_fd, buffer, sizeof(buffer));
+    const ssize_t n = read_some(worker.fd, buffer, sizeof(buffer));
     if (n < 0) {
       fail_worker(worker, Loss::kReadError, std::strerror(errno));
       return;
@@ -506,31 +510,47 @@ class Dispatcher {
 
   /// Returns false when the frame failed the worker (stop touching it).
   bool handle_frame(WorkerProc& worker, const std::string& frame) {
-    WireMessage message;
+    service::ServerMessage message;
     try {
-      message = parse_message(frame);
-    } catch (const WireError& e) {
+      message = service::parse_server_message(frame);
+    } catch (const service::ServiceError& e) {
       fail_worker(worker, Loss::kBadFrame, e.what());
       return false;
     }
-    if (message.type == WireMessage::Type::kPoint ||
-        message.index != worker.current_point) {
+    using Type = service::ServerMessage::Type;
+    // The worker's hello comes first.  After it, only a result or a
+    // deterministic (not retryable) error for the in-flight point answers
+    // it; a connection-level error, a `busy` hint, another hello or a frame
+    // for any other point means the worker is unusable.
+    const bool expected =
+        worker.greeted
+            ? worker.current_point >= 0 && message.id == worker.current_point &&
+                  (message.type == Type::kResult ||
+                   (message.type == Type::kError && message.retry_after_ms < 0))
+            : message.type == Type::kHello &&
+                  message.version == service::kProtocolVersion;
+    if (!expected) {
       fail_worker(worker, Loss::kBadFrame,
-                  "protocol violation (unexpected frame for point " +
-                      std::to_string(message.index) + ")");
+                  "protocol violation (unexpected frame, id " +
+                      std::to_string(message.id) + ")" +
+                      (message.what.empty() ? "" : ": " + message.what));
       return false;
+    }
+    if (message.type == Type::kHello) {
+      worker.greeted = true;
+      return true;
     }
     const int point = worker.current_point;
     const auto index = static_cast<std::size_t>(point);
     worker.current_point = -1;
 
-    if (message.type == WireMessage::Type::kError) {
+    if (message.type == Type::kError) {
       // Deterministic point failure: retrying it on another worker would
       // fail identically — quarantine now, with the worker's diagnostic.
       quarantine(point, "worker reported: " + message.what);
     } else {
       try {
-        report_.results[index] = campaign_result_from_json(message.body);
+        report_.results[index] = campaign_result_from_json(message.result);
       } catch (const JsonError& e) {
         worker.current_point = point;  // still this worker's failure
         fail_worker(worker, Loss::kBadFrame,
@@ -553,12 +573,11 @@ class Dispatcher {
   // --- teardown ------------------------------------------------------------
 
   void shutdown_workers() {
-    // EOF on stdin is the shutdown signal; every live worker is idle by
-    // now (the loop only ends when no point is in flight), so each exits
-    // its read loop promptly.
-    for (const auto& worker : live_) ::close(worker->to_fd);
+    // EOF on its socket is a worker's shutdown signal; every live worker
+    // is idle by now (the loop only ends when no point is in flight), so
+    // each server's run() returns promptly.
+    for (const auto& worker : live_) ::close(worker->fd);
     for (const auto& worker : live_) {
-      ::close(worker->from_fd);
       int status = 0;
       ::waitpid(worker->pid, &status, 0);
     }
@@ -580,6 +599,24 @@ class Dispatcher {
 };
 
 }  // namespace
+
+service::ServerConfig worker_server_config(int threads) {
+  service::ServerConfig config;
+  config.executor_threads = threads;
+  config.idle_timeout_ms = 0;
+  config.cache_bytes = 0;
+  return config;
+}
+
+int worker_threads_from_env(int fallback) {
+  const char* env = std::getenv("HOVAL_WORKER_THREADS");
+  if (!env || *env == '\0') return fallback;
+  char* end = nullptr;
+  const long parsed = std::strtol(env, &end, 10);
+  if (end == env || *end != '\0' || parsed < 0 || parsed > 4096)
+    return fallback;
+  return static_cast<int>(parsed);
+}
 
 bool DispatchReport::all_safety_clean() const {
   if (!quarantined.empty()) return false;

@@ -4,10 +4,14 @@
 /// Cross-process sweep sharding: the host half of the dispatch protocol.
 ///
 /// dispatch_sweep() resolves a SweepSpec into its point list (the same
-/// expand() order as run_sweep), spawns N worker processes, streams one
-/// serialised ScenarioSpec point at a time to each worker over a pipe
-/// (dispatch/wire.hpp), and merges the returned CampaignResult documents
-/// host-side in point order.  Every point's campaign derives all its
+/// expand() order as run_sweep), spawns N worker processes, submits one
+/// serialised ScenarioSpec point at a time to each worker over a socket,
+/// and merges the returned CampaignResult documents host-side in point
+/// order.  Every worker is a hovald peer: a service::Server serving its
+/// end of a socketpair (worker_server_config()), and the host is its
+/// client — hello, then one `submit` per point, answered by `result` or
+/// `error` (service/protocol.hpp).  There is no dispatch-specific message
+/// layer.  Every point's campaign derives all its
 /// randomness from the point's own spec (per-point seeds via
 /// SweepSpec::reseed_per_point / swept "campaign.seed" axes, per-run
 /// derived_seed inside the campaign), so *placement is irrelevant*: which
@@ -26,8 +30,11 @@
 /// respawning, within a budget); a point that keeps killing workers is
 /// *quarantined* after max_point_attempts — reported with its diagnostic,
 /// never retried forever.  A point whose campaign fails deterministically
-/// (the worker reports an error frame rather than dying) is quarantined
-/// immediately.  DispatchReport carries the full accounting:
+/// (the worker answers its submit with an `error` rather than dying) is
+/// quarantined immediately.  A worker that answers anything else — a
+/// connection-level error, a `busy` hint, a frame for another point, bytes
+/// that fail the frame CRC or the protocol parser — is treated as lost.
+/// DispatchReport carries the full accounting:
 /// resubmissions, worker deaths, respawns, quarantined points.
 
 #include <functional>
@@ -35,11 +42,12 @@
 #include <vector>
 
 #include "scenario/spec.hpp"
+#include "service/server.hpp"
 #include "sim/campaign.hpp"
 
 namespace hoval::dispatch {
 
-/// Thrown on host-side setup failures (pipe/fork exhaustion, invalid
+/// Thrown on host-side setup failures (socket/fork exhaustion, invalid
 /// options) — not on worker failures, which the dispatcher tolerates.
 class DispatchError : public std::runtime_error {
  public:
@@ -53,10 +61,10 @@ struct DispatchOptions {
   /// workers).  Default 1: N processes x 1 thread saturates N cores
   /// without oversubscription; results are bit-identical at any value.
   int worker_threads = 1;
-  /// Command to exec as the worker (e.g. {"./hoval_cli", "--worker"}).
-  /// Empty: fork a child that runs run_worker_loop() in-process — the
-  /// default for tools that link the library, and the only mode that needs
-  /// no binary path plumbing.
+  /// Command to exec as the worker (e.g. {"./hoval_cli", "--worker"});
+  /// it gets its end of the socket on fd 0.  Empty: fork a child that
+  /// serves the socket in-process — the default for tools that link the
+  /// library, and the only mode that needs no binary path plumbing.
   std::vector<std::string> worker_argv;
   /// A point is quarantined after this many attempts end in worker death.
   int max_point_attempts = 3;
@@ -95,7 +103,7 @@ struct DispatchOptions {
 struct PointFailure {
   int point = 0;        ///< index in expand() order
   int attempts = 0;     ///< attempts consumed before quarantine
-  std::string what;     ///< last diagnostic (worker death or error frame)
+  std::string what;     ///< last diagnostic (worker death or error reply)
 };
 
 /// The merged outcome of a dispatched sweep.
@@ -122,6 +130,18 @@ struct DispatchReport {
   /// (5 spawned, 1 failed), resubmitted_points=1, quarantined=0, ...").
   std::string summary() const;
 };
+
+/// The configuration a worker serves its host with: `threads` executor
+/// threads, no idle deadline (a worker left idle at the end of a sweep
+/// must not be dropped and then reported lost), no result cache (a worker
+/// never sees the same spec twice) and no log (a worker never writes to
+/// stdout).  A worker is `service::Server(worker_server_config(t), fd)`.
+service::ServerConfig worker_server_config(int threads);
+
+/// The worker-process thread count from the HOVAL_WORKER_THREADS
+/// environment variable (set by the dispatcher for exec'd workers), or
+/// `fallback` when unset/invalid.
+int worker_threads_from_env(int fallback = 1);
 
 /// Expands and validates the sweep (every point resolves against the
 /// registries before any worker spawns, exactly like run_sweep), then

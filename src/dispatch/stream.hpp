@@ -6,9 +6,9 @@
 /// and a scoped SIGPIPE guard.  The wire layer (dispatch/wire.hpp) frames
 /// messages over *any* byte stream; these helpers are the one place that
 /// knows how to move those bytes over a pipe or a socket — shared by the
-/// fork/exec dispatcher (dispatch/dispatch.cpp), the worker loop, and the
-/// hovald service transport (src/service/), so a future multi-host
-/// dispatcher swaps the fd's origin, not the I/O discipline.
+/// fork/exec dispatcher (dispatch/dispatch.cpp) and the hovald service
+/// transport (src/service/), so a future multi-host dispatcher swaps the
+/// fd's origin, not the I/O discipline.
 ///
 /// Every syscall here routes through the fault-injection hooks in
 /// util/faults.hpp (zero-cost when no HOVAL_FAULT_PLAN injector is

@@ -1,10 +1,10 @@
 #include "dispatch/wire.hpp"
 
 #include <cstdint>
-#include <limits>
 
 #include "dispatch/stream.hpp"
 #include "runtime/crc32.hpp"
+#include "service/protocol.hpp"
 #include "util/bytes.hpp"
 
 namespace hoval::dispatch {
@@ -93,110 +93,8 @@ std::optional<std::string> read_frame(int fd, FrameDecoder& decoder) {
   }
 }
 
-namespace {
-
-[[noreturn]] void reject(const std::string& what) {
-  throw WireError("protocol message: " + what);
-}
-
-Json message_shell(const char* type, int index) {
-  Json message = Json::object();
-  message.set("type", type);
-  message.set("index", index);
-  return message;
-}
-
-int required_index(const Json& message) {
-  const Json* index = message.find("index");
-  if (!index || !index->is_integer())
-    reject("\"index\" must be an integer >= 0");
-  // as_int()/as_int64() throw JsonError outside their range; a corrupt
-  // frame must surface as a WireError the host tolerates, never escape
-  // parse_message as a different exception type.
-  std::int64_t value = -1;
-  try {
-    value = index->as_int64();
-  } catch (const JsonError&) {
-    // uint64 beyond int64: out of range below either way.
-  }
-  if (value < 0 || value > std::numeric_limits<int>::max())
-    reject("\"index\" must be an integer >= 0");
-  return static_cast<int>(value);
-}
-
-const Json& required_member(const Json& message, const char* key) {
-  const Json* value = message.find(key);
-  if (!value) reject(std::string("missing \"") + key + "\"");
-  return *value;
-}
-
-void check_keys(const Json& message, const char* type, const char* body_key) {
-  for (const auto& member : message.members())
-    if (member.first != "type" && member.first != "index" &&
-        member.first != body_key)
-      reject("unknown key \"" + member.first + "\" in \"" + type +
-             "\" message");
-}
-
-}  // namespace
-
-std::string encode_point_message(int index, const Json& scenario) {
-  Json message = message_shell("point", index);
-  message.set("scenario", scenario);
-  return message.dump();
-}
-
 std::string encode_result_message(int index, const Json& result) {
-  Json message = message_shell("result", index);
-  message.set("result", result);
-  return message.dump();
-}
-
-std::string encode_error_message(int index, const std::string& what) {
-  Json message = message_shell("error", index);
-  message.set("what", what);
-  return message.dump();
-}
-
-WireMessage parse_message(std::string_view payload) try {
-  Json message;
-  try {
-    message = Json::parse(payload);
-  } catch (const JsonError& e) {
-    reject(std::string("payload is not JSON: ") + e.what());
-  }
-  if (!message.is_object()) reject("payload must be a JSON object");
-  const Json* type = message.find("type");
-  if (!type || !type->is_string()) reject("missing string \"type\"");
-
-  WireMessage parsed;
-  parsed.index = required_index(message);
-  const std::string& name = type->as_string();
-  if (name == "point") {
-    check_keys(message, "point", "scenario");
-    parsed.type = WireMessage::Type::kPoint;
-    parsed.body = required_member(message, "scenario");
-    if (!parsed.body.is_object()) reject("\"scenario\" must be an object");
-  } else if (name == "result") {
-    check_keys(message, "result", "result");
-    parsed.type = WireMessage::Type::kResult;
-    parsed.body = required_member(message, "result");
-    if (!parsed.body.is_object()) reject("\"result\" must be an object");
-  } else if (name == "error") {
-    check_keys(message, "error", "what");
-    parsed.type = WireMessage::Type::kError;
-    const Json& what = required_member(message, "what");
-    if (!what.is_string()) reject("\"what\" must be a string");
-    parsed.what = what.as_string();
-  } else {
-    reject("unknown type \"" + name + "\"");
-  }
-  return parsed;
-} catch (const JsonError& e) {
-  // Backstop for the "worker failures are handled, not thrown" contract:
-  // whatever a hostile frame makes the Json layer throw, the caller only
-  // ever sees WireError.
-  reject(std::string("malformed payload: ") + e.what());
+  return service::encode_result(index, /*cache_hit=*/false, result);
 }
 
 }  // namespace hoval::dispatch

@@ -1,8 +1,11 @@
 #pragma once
 
 /// \file wire.hpp
-/// The dispatch wire format: length-prefixed frames over a byte stream
-/// (pipe or socket), each carrying one JSON protocol message.
+/// The frame codec every stream in the repo speaks: length-prefixed,
+/// checksummed frames over a byte stream (socket or pipe), each carrying
+/// one message of the hovald protocol (service/protocol.hpp — the one
+/// place messages are encoded and parsed, for daemon clients and dispatch
+/// workers alike).
 ///
 /// Framing: every frame is a 4-byte little-endian payload length, a
 /// 4-byte little-endian CRC-32 of the payload (runtime/crc32.hpp — the
@@ -17,16 +20,6 @@
 /// mid-frame is detectable via pending_bytes(), so a killed peer's
 /// half-written frame is a diagnosed truncation, never a silently
 /// misparsed payload.
-///
-/// Protocol messages (one JSON object per frame, "type"-tagged):
-///   host -> worker   {"type": "point", "index": k, "scenario": {...}}
-///   worker -> host   {"type": "result", "index": k, "result": {...}}
-///   worker -> host   {"type": "error", "index": k, "what": "..."}
-/// The host signals shutdown by closing the worker's input (EOF), not by a
-/// message — a dead host and a finished host look the same to a worker.
-/// parse_message() validates strictly (unknown types, missing fields and
-/// type mismatches throw WireError) so garbage payloads are rejected,
-/// never accepted-then-misparsed.
 
 #include <cstddef>
 #include <cstdint>
@@ -39,8 +32,8 @@
 
 namespace hoval::dispatch {
 
-/// Thrown on malformed frames (oversized length prefix) and malformed
-/// protocol messages (non-JSON payloads, unknown/missing fields).
+/// Thrown on malformed frames: an oversized length prefix, a checksum
+/// mismatch, a stream that ends mid-frame.
 class WireError : public std::runtime_error {
  public:
   explicit WireError(const std::string& what) : std::runtime_error(what) {}
@@ -94,21 +87,8 @@ bool write_frame(int fd, std::string_view payload);
 /// prefix is corrupt.
 std::optional<std::string> read_frame(int fd, FrameDecoder& decoder);
 
-/// One parsed protocol message (see the file comment for the schema).
-struct WireMessage {
-  enum class Type { kPoint, kResult, kError };
-  Type type = Type::kError;
-  int index = -1;    ///< sweep point index
-  Json body;         ///< "scenario" (kPoint) or "result" (kResult) document
-  std::string what;  ///< kError diagnostic
-};
-
-std::string encode_point_message(int index, const Json& scenario);
+/// Forwards to service::encode_result(index, false, result); kept as the
+/// payload builder of perfbench's frame-codec probe.
 std::string encode_result_message(int index, const Json& result);
-std::string encode_error_message(int index, const std::string& what);
-
-/// Parses and validates one frame payload.  \throws WireError on anything
-/// but a well-formed protocol message.
-WireMessage parse_message(std::string_view payload);
 
 }  // namespace hoval::dispatch

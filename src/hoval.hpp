@@ -22,10 +22,10 @@
 ///               hunting on the shared Executor (RefinementDriver)
 ///   sim/        deterministic round simulator, consensus checkers,
 ///               Monte-Carlo campaigns
-///   dispatch/   cross-process sweep sharding: length-prefixed wire
-///               protocol, EINTR-safe stream helpers, worker loop,
-///               fault-tolerant host dispatcher
-///   service/    hovald campaign-as-a-service daemon: framed JSON job
+///   dispatch/   cross-process sweep sharding: CRC-checked frame codec,
+///               EINTR-safe stream helpers, fault-tolerant host
+///               dispatcher whose workers are hovald servers
+///   service/    hovald campaign-as-a-service daemon: the one framed JSON
 ///               protocol, fair-share scheduler, spec-hash result cache,
 ///               poll-loop server and synchronous client
 ///   runtime/    threaded message-passing substrate with wire-level
@@ -52,7 +52,6 @@
 #include "dispatch/dispatch.hpp"
 #include "dispatch/stream.hpp"
 #include "dispatch/wire.hpp"
-#include "dispatch/worker.hpp"
 #include "model/message.hpp"
 #include "model/process.hpp"
 #include "model/process_set.hpp"

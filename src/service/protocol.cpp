@@ -142,8 +142,8 @@ ClientMessage parse_client_message(std::string_view payload) try {
   }
   return parsed;
 } catch (const JsonError& e) {
-  // Backstop mirroring dispatch::parse_message: whatever a hostile frame
-  // makes the Json layer throw, callers only ever see ServiceError.
+  // Backstop: whatever a hostile frame makes the Json layer throw, callers
+  // only ever see ServiceError.
   reject(std::string("malformed payload: ") + e.what());
 }
 

@@ -1,16 +1,18 @@
 #pragma once
 
 /// \file protocol.hpp
-/// The hovald campaign-service protocol: type-tagged JSON messages, one
-/// per dispatch::wire frame, over a Unix-domain or TCP socket
-/// (src/service/socket.hpp).  Parsing follows the wire layer's discipline
-/// exactly — unknown types, unknown keys, missing fields and type
-/// mismatches throw ServiceError, so a garbage frame is rejected with a
-/// diagnostic, never accepted-then-misparsed.
+/// The one wire protocol of the repo: type-tagged JSON messages, one per
+/// dispatch::wire frame, spoken by hovald and its clients over a
+/// Unix-domain or TCP socket (src/service/socket.hpp) and by every
+/// dispatch host to its workers over a socketpair (each worker is a
+/// service::Server; dispatch/dispatch.hpp).  Every message is encoded and
+/// parsed here.  Parsing is strict — unknown types, unknown keys, missing
+/// fields and type mismatches throw ServiceError, so a garbage frame is
+/// rejected with a diagnostic, never accepted-then-misparsed.
 ///
 /// Conversation shape (client `>` / server `<`):
-///   > {"type": "hello", "version": 1}                    (must be first)
-///   < {"type": "hello", "version": 1}
+///   > {"type": "hello", "version": 2}                    (must be first)
+///   < {"type": "hello", "version": 2}
 ///   > {"type": "submit", "id": k, "kind": "scenario"|"sweep",
 ///      "spec": {...}, "progress": true?}
 ///   < {"type": "progress", "id": k, "completed": c, "total": t}   (opt-in)
@@ -18,6 +20,11 @@
 ///   < {"type": "error", "id": k, "what": "...",
 ///      "retry_after_ms": n?}                      (id -1: whole connection)
 ///   > {"type": "cancel", "id": k}
+///
+/// A client need not wait for the server's hello before submitting; the
+/// dispatch host sends its hello and first submit back to back, with one
+/// "scenario" submit per sweep point (id = point index) in flight per
+/// worker.
 ///
 /// `retry_after_ms` appears only on *retryable* errors — today the
 /// daemon's admission-queue `busy` shed — and tells a well-behaved client
@@ -34,8 +41,8 @@
 /// sim/result_json.hpp form, so daemon-served bytes are comparable against
 /// local `hoval_cli --out` files.  `cache_hit` reports whether the result
 /// was served from the spec-hash cache (src/service/cache.hpp) without
-/// executing any runs.  The server signals nothing on shutdown beyond
-/// closing the connection, mirroring the dispatch wire contract.
+/// executing any runs.  Neither side signals shutdown beyond closing the
+/// connection.
 
 #include <cstdint>
 #include <stdexcept>

@@ -169,14 +169,20 @@ struct Server::Impl {
   std::vector<PendingJob> pending;
   std::list<ActiveJob> active;
 
-  explicit Impl(ServerConfig cfg)
+  /// `connected_fd >= 0` adopts that connection instead of listening; the
+  /// listener then stays invalid and the loop ends with the connection.
+  Impl(ServerConfig cfg, int connected_fd)
       : config(std::move(cfg)),
-        listener(listen_socket(config.address)),
+        listener(connected_fd < 0 ? listen_socket(config.address)
+                                  : ListenSocket()),
         cache(config.cache_bytes),
         executor(config.executor_threads, [this] { wake.notify(); }) {
     if (config.max_active_jobs < 1) config.max_active_jobs = 1;
     policy.small_job_cost = config.small_job_runs;
-    set_nonblocking(listener.fd());
+    if (listener.valid())
+      set_nonblocking(listener.fd());
+    else
+      add_client(connected_fd);
   }
 
   void log(const std::string& line) {
@@ -543,12 +549,16 @@ struct Server::Impl {
         if (errno == EINTR) continue;
         return;  // EAGAIN or a transient accept failure: poll again
       }
-      set_nonblocking(fd);
-      clients_accepted.fetch_add(1, std::memory_order_relaxed);
-      Client& client = clients.emplace(fd, Client{}).first->second;
-      client.connected_at = client.last_input = Client::Clock::now();
-      log("client " + std::to_string(fd) + " connected");
+      add_client(fd);
     }
+  }
+
+  void add_client(int fd) {
+    set_nonblocking(fd);
+    clients_accepted.fetch_add(1, std::memory_order_relaxed);
+    Client& client = clients.emplace(fd, Client{}).first->second;
+    client.connected_at = client.last_input = Client::Clock::now();
+    log("client " + std::to_string(fd) + " connected");
   }
 
   void disconnect(int fd) {
@@ -704,8 +714,10 @@ struct Server::Impl {
     dispatch::ScopedSigpipeIgnore sigpipe;
     std::vector<pollfd> fds;
     std::vector<std::pair<int, short>> client_events;
-    while (!stop_flag.load(std::memory_order_acquire)) {
+    while (!stop_flag.load(std::memory_order_acquire) &&
+           (listener.valid() || !clients.empty())) {
       fds.clear();
+      // An adopted connection has no listener: poll(2) skips fd -1.
       fds.push_back(pollfd{listener.fd(), POLLIN, 0});
       fds.push_back(pollfd{wake.read_fd, POLLIN, 0});
       for (const auto& entry : clients) {
@@ -783,7 +795,10 @@ struct Server::Impl {
 };
 
 Server::Server(ServerConfig config)
-    : impl_(std::make_unique<Impl>(std::move(config))) {}
+    : impl_(std::make_unique<Impl>(std::move(config), -1)) {}
+
+Server::Server(ServerConfig config, int connected_fd)
+    : impl_(std::make_unique<Impl>(std::move(config), connected_fd)) {}
 
 Server::~Server() = default;
 

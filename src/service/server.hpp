@@ -91,11 +91,19 @@ class Server {
   /// and spins up the executor pool.  \throws ServiceError on bind
   /// failure.
   explicit Server(ServerConfig config);
+  /// Adopts one already-connected socket instead of listening (the server
+  /// owns and closes `connected_fd`; config.address is ignored).  The
+  /// peer is served exactly like an accepted client — same handler,
+  /// scheduler, deadlines and fault hooks — and run() returns once it
+  /// disconnects and its jobs have drained.  This is how a dispatch
+  /// worker serves its host (dispatch/dispatch.hpp).
+  Server(ServerConfig config, int connected_fd);
   ~Server();
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Runs the event loop until stop(); call at most once.  On return all
+  /// Runs the event loop until stop() (or, for an adopted connection,
+  /// until its peer is gone); call at most once.  On return all
   /// connections are closed and all in-flight campaigns cancelled and
   /// drained.
   void run();
@@ -105,7 +113,8 @@ class Server {
   /// should call.
   void stop();
 
-  /// The effective listen address (the bound port when :0 was requested).
+  /// The effective listen address (the bound port when :0 was requested;
+  /// empty for an adopted connection).
   const std::string& address() const;
 
   /// Snapshot of the counters; callable from any thread.

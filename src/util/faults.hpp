@@ -28,7 +28,8 @@
 /// with rate keys `short`, `eintr`, `reset`, `eof`, `corrupt`, `stall`
 /// (probabilities in [0,1]) plus `stall_ms` (sleep per stall) and
 /// `max_faults` (hard cap on injected faults; 0 = unbounded).  Exec'd
-/// dispatch workers inherit the variable and install their own injector.
+/// dispatch workers install their own injector from the host's plan,
+/// reseeded per worker slot (dispatch/dispatch.cpp).
 
 #include <atomic>
 #include <cstddef>

@@ -3,26 +3,32 @@
 /// mid-sweep worker kill with resubmission — and worker failures degrade
 /// into diagnosed quarantines, never hangs or wrong answers.
 ///
-/// The default workers here are fork()ed children running the worker loop
-/// in-process (no binary paths to plumb); the exec path is covered by the
-/// CI dispatch-smoke steps, which drive the installed hoval_dispatch and
-/// hoval_cli --worker binaries against each other.
+/// The default workers here are fork()ed children serving their socket
+/// with an in-process service::Server (no binary paths to plumb); the exec
+/// path is covered by the CI dispatch-smoke and chaos steps, which drive
+/// the installed hoval_dispatch and hoval_cli --worker binaries against
+/// each other.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <future>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "dispatch/dispatch.hpp"
 #include "dispatch/wire.hpp"
-#include "dispatch/worker.hpp"
 #include "scenario/run.hpp"
 #include "scenario/spec.hpp"
+#include "service/protocol.hpp"
+#include "service/server.hpp"
 #include "sim/result_json.hpp"
 #include "util/faults.hpp"
 
-#include <fcntl.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 namespace hoval::dispatch {
@@ -219,6 +225,35 @@ TEST(Dispatch, FaultPlanChaosStaysBitIdenticalToTheFaultFreeRun) {
   }
 }
 
+TEST(Dispatch, ExecdWorkersGetTheFaultPlanReseededPerSlot) {
+  // An exec'd worker installs HOVAL_FAULT_PLAN itself.  Under one seed
+  // every replacement would replay the fault schedule that killed its
+  // predecessor, so each slot must get the plan under its own seed.
+  const std::string path = testing::TempDir() + "dispatch_fault_plans.txt";
+  std::remove(path.c_str());
+  ScopedFaultInjection chaos("30:short=0.25,eof=0.005");
+  DispatchOptions options;
+  options.workers = 1;
+  options.worker_argv = {"/bin/sh", "-c",
+                         "echo \"$HOVAL_FAULT_PLAN\" >> '" + path + "'"};
+  options.max_point_attempts = 3;
+  options.max_respawns = 2;
+  options.respawn_backoff_initial_ms = 0;
+  EXPECT_FALSE(dispatch_sweep(demo_sweep(), options).complete());
+
+  std::ifstream in(path);
+  std::vector<faults::FaultPlan> plans;
+  for (std::string line; std::getline(in, line);)
+    plans.push_back(faults::FaultPlan::parse(line));
+  std::remove(path.c_str());
+  ASSERT_EQ(plans.size(), 3u);  // the first worker and two respawns
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    EXPECT_EQ(plans[i].short_rate, 0.25);
+    EXPECT_EQ(plans[i].eof_rate, 0.005);
+    for (std::size_t j = 0; j < i; ++j) EXPECT_NE(plans[i].seed, plans[j].seed);
+  }
+}
+
 TEST(Dispatch, WorkerLossEmitsOneStructuredReasonLine) {
   DispatchOptions options;
   options.workers = 1;
@@ -267,78 +302,107 @@ TEST(Dispatch, CrashLoopRespawnsAreBackedOffNotHotSpun) {
   EXPECT_TRUE(backoff_logged);
 }
 
-// --- the worker loop, driven synchronously through pipes -------------------
+// --- a worker: the adopted-connection Server over a socketpair -----------
 
-struct Pipe {
-  int fds[2] = {-1, -1};
-  Pipe() { EXPECT_EQ(::pipe(fds), 0); }
-  ~Pipe() {
-    for (const int fd : fds)
-      if (fd >= 0) ::close(fd);
+/// A worker's Server serving one end of a socketpair on its own thread; the
+/// test speaks the host's side of the protocol on `host`.
+struct ServedWorker {
+  int host = -1;
+  std::unique_ptr<service::Server> server;
+  std::future<void> running;
+  FrameDecoder decoder;
+
+  ServedWorker() {
+    int sockets[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sockets), 0);
+    host = sockets[0];
+    server = std::make_unique<service::Server>(worker_server_config(1),
+                                               sockets[1]);
+    running = std::async(std::launch::async, [this] { server->run(); });
   }
-  void close_write() {
-    ::close(fds[1]);
-    fds[1] = -1;
+  ~ServedWorker() {
+    if (running.valid() &&
+        running.wait_for(std::chrono::seconds(0)) != std::future_status::ready)
+      server->stop();  // a failed test must not hang the suite
+    running = {};
+    close_host();
+  }
+  void close_host() {
+    if (host >= 0) ::close(host);
+    host = -1;
+  }
+  void send(const std::string& payload) {
+    ASSERT_TRUE(write_frame(host, payload));
+  }
+  service::ServerMessage reply() {
+    const auto frame = read_frame(host, decoder);
+    if (!frame) return {};  // surfaces as a default (kHello, version 0)
+    return service::parse_server_message(*frame);
+  }
+  /// run() returned within a bounded deadline.
+  bool returned() {
+    return running.wait_for(std::chrono::seconds(10)) ==
+           std::future_status::ready;
   }
 };
 
-TEST(Dispatch, WorkerLoopServesPointsAndReportsBadOnesAsErrorFrames) {
+TEST(Dispatch, WorkerServerAnswersPointsAndReportsBadOnesAsErrors) {
   const std::vector<ScenarioSpec> points = demo_sweep().expand();
+  using Type = service::ServerMessage::Type;
+  ServedWorker worker;
 
-  Pipe in, out;
-  ASSERT_TRUE(write_frame(in.fds[1], encode_point_message(0, points[0].to_json())));
-  // A syntactically valid message whose scenario fails resolution: the
-  // worker must answer with an error frame and keep serving.
+  // The host's conversation: hello and the first submit back to back,
+  // then one submit per reply.
+  worker.send(service::encode_hello());
+  worker.send(service::encode_submit(0, false, points[0].to_json(), false));
+  const service::ServerMessage hello = worker.reply();
+  EXPECT_EQ(hello.type, Type::kHello);
+  EXPECT_EQ(hello.version, service::kProtocolVersion);
+  const service::ServerMessage result0 = worker.reply();
+  ASSERT_EQ(result0.type, Type::kResult);
+  EXPECT_EQ(result0.id, 0);
+
+  // A well-formed submit whose scenario cannot be resolved: the worker
+  // answers with an error for that id and keeps serving.
   Json bogus = Json::object();
   bogus.set("algorithm", Json::object());
-  ASSERT_TRUE(write_frame(in.fds[1], encode_point_message(1, bogus)));
-  ASSERT_TRUE(write_frame(in.fds[1], encode_point_message(2, points[2].to_json())));
-  in.close_write();
+  worker.send(service::encode_submit(1, false, bogus, false));
+  const service::ServerMessage error1 = worker.reply();
+  EXPECT_EQ(error1.type, Type::kError);
+  EXPECT_EQ(error1.id, 1);
+  EXPECT_FALSE(error1.what.empty());
+  EXPECT_LT(error1.retry_after_ms, 0);  // deterministic, not retryable
 
-  EXPECT_EQ(run_worker_loop(in.fds[0], out.fds[1], 1), 0);
-  ::close(out.fds[1]);
-  out.fds[1] = -1;
+  worker.send(service::encode_submit(2, false, points[2].to_json(), false));
+  const service::ServerMessage result2 = worker.reply();
+  EXPECT_EQ(result2.type, Type::kResult);
+  EXPECT_EQ(result2.id, 2);
 
-  FrameDecoder decoder;
-  char buffer[4096];
-  ssize_t n;
-  while ((n = ::read(out.fds[0], buffer, sizeof(buffer))) > 0)
-    decoder.feed(buffer, static_cast<std::size_t>(n));
-  std::vector<WireMessage> replies;
-  while (const auto frame = decoder.next())
-    replies.push_back(parse_message(*frame));
-  EXPECT_EQ(decoder.pending_bytes(), 0u);
-
-  ASSERT_EQ(replies.size(), 3u);
-  EXPECT_EQ(replies[0].type, WireMessage::Type::kResult);
-  EXPECT_EQ(replies[0].index, 0);
-  EXPECT_EQ(replies[1].type, WireMessage::Type::kError);
-  EXPECT_EQ(replies[1].index, 1);
-  EXPECT_FALSE(replies[1].what.empty());
-  EXPECT_EQ(replies[2].type, WireMessage::Type::kResult);
-  EXPECT_EQ(replies[2].index, 2);
+  worker.close_host();
+  EXPECT_TRUE(worker.returned());
 
   // The served result is the same bytes a direct run produces.
-  EXPECT_EQ(campaign_result_to_json(
-                campaign_result_from_json(replies[0].body))
-                .dump(),
+  EXPECT_EQ(result0.result.dump(),
             campaign_result_to_json(run_scenario(points[0])).dump());
 }
 
-TEST(Dispatch, WorkerLoopDiagnosesTruncatedAndGarbageStreams) {
+TEST(Dispatch, WorkerServerEndsOnTruncatedAndGarbageStreams) {
   {
-    Pipe in, out;
-    const std::string frame = encode_point_message(0, Json::object());
-    const std::string encoded = encode_frame(frame);
-    ASSERT_GT(::write(in.fds[1], encoded.data(), encoded.size() / 2), 0);
-    in.close_write();
-    EXPECT_EQ(run_worker_loop(in.fds[0], out.fds[1], 1), 1);  // truncated
+    ServedWorker worker;
+    const std::string encoded = encode_frame(service::encode_hello());
+    ASSERT_GT(::write(worker.host, encoded.data(), encoded.size() / 2), 0);
+    worker.close_host();
+    EXPECT_TRUE(worker.returned());  // truncated
   }
   {
-    Pipe in, out;
-    ASSERT_TRUE(write_frame(in.fds[1], "this is not a protocol message"));
-    in.close_write();
-    EXPECT_EQ(run_worker_loop(in.fds[0], out.fds[1], 1), 2);  // protocol
+    // A frame with a valid CRC whose payload is no protocol message: the
+    // worker answers with a connection-level error, then hangs up.
+    ServedWorker worker;
+    worker.send("this is not a protocol message");
+    const service::ServerMessage error = worker.reply();
+    EXPECT_EQ(error.type, service::ServerMessage::Type::kError);
+    EXPECT_EQ(error.id, -1);
+    EXPECT_TRUE(worker.returned());
   }
 }
 

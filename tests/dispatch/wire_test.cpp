@@ -1,7 +1,8 @@
-/// The dispatch wire format: framing round-trips under arbitrary stream
-/// chunking, and every malformed input — truncated frames, oversized
-/// length prefixes, garbage payloads, off-schema messages — is rejected
-/// with a diagnostic, never accepted-then-misparsed.
+/// The frame codec: framing round-trips under arbitrary stream chunking,
+/// and every malformed input — truncated frames, oversized length
+/// prefixes, checksum mismatches, garbage payloads — is rejected with a
+/// diagnostic, never accepted-then-misparsed.  The messages inside the
+/// frames are service/protocol.hpp's, tested by protocol_test.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "dispatch/wire.hpp"
+#include "service/protocol.hpp"
 #include "util/rng.hpp"
 
 namespace hoval::dispatch {
@@ -117,55 +119,6 @@ TEST(Wire, ChecksumMismatchDiagnosticNamesTheCorruption) {
   }
 }
 
-TEST(Wire, PointAndResultAndErrorMessagesRoundTrip) {
-  Json scenario = Json::object();
-  scenario.set("algorithm", Json::object());
-
-  const WireMessage point = parse_message(encode_point_message(7, scenario));
-  EXPECT_EQ(point.type, WireMessage::Type::kPoint);
-  EXPECT_EQ(point.index, 7);
-  EXPECT_TRUE(point.body == scenario);
-
-  Json result = Json::object();
-  result.set("runs", 40);
-  const WireMessage merged = parse_message(encode_result_message(2, result));
-  EXPECT_EQ(merged.type, WireMessage::Type::kResult);
-  EXPECT_EQ(merged.index, 2);
-  EXPECT_TRUE(merged.body == result);
-
-  const WireMessage error = parse_message(encode_error_message(0, "boom"));
-  EXPECT_EQ(error.type, WireMessage::Type::kError);
-  EXPECT_EQ(error.index, 0);
-  EXPECT_EQ(error.what, "boom");
-}
-
-TEST(Wire, MalformedMessagesAreRejected) {
-  const std::vector<std::string> garbage = {
-      "",                                          // not JSON
-      "not json at all",                           //
-      "42",                                        // JSON, not an object
-      "[]",                                        //
-      "{}",                                        // missing type
-      R"({"type":"point"})",                       // missing index
-      R"({"type":"nonsense","index":0})",          // unknown type
-      R"({"type":"point","index":-1,"scenario":{}})",  // negative index
-      R"({"type":"point","index":"x","scenario":{}})", // index not an int
-      // Out-of-range indices must reject as WireError, never escape as the
-      // Json layer's own range exception (host aborts vs tolerated fault).
-      R"({"type":"result","index":99999999999,"result":{}})",    // > int32
-      R"({"type":"result","index":18446744073709551615,"result":{}})",  // uint64 max
-      R"({"type":"result","index":-99999999999,"result":{}})",   // < int32 min
-      R"({"type":"point","index":0})",             // missing body
-      R"({"type":"point","index":0,"scenario":3})",    // body not an object
-      R"({"type":"result","index":0,"result":[]})",    //
-      R"({"type":"error","index":0,"what":17})",   // what not a string
-      R"({"type":"error","index":0,"what":"x","extra":1})",  // unknown key
-      R"({"type":"point","index":0,"scenario":{},"result":{}})",
-  };
-  for (const std::string& payload : garbage)
-    EXPECT_THROW(parse_message(payload), WireError) << payload;
-}
-
 TEST(Wire, RandomBytesNeverCrashTheDecoderOrParser) {
   Rng rng(0xD15F);
   for (int trial = 0; trial < 2000; ++trial) {
@@ -181,9 +134,11 @@ TEST(Wire, RandomBytesNeverCrashTheDecoderOrParser) {
         decoder.feed(bytes.data() + offset, chunk);
         offset += chunk;
         while (const auto frame = decoder.next()) {
+          // What a dispatch host parses its workers' frames with; only
+          // ServiceError may escape it.
           try {
-            (void)parse_message(*frame);
-          } catch (const WireError&) {
+            (void)service::parse_server_message(*frame);
+          } catch (const service::ServiceError&) {
           }
         }
       }

@@ -105,7 +105,7 @@ struct CliOptions {
       << "                   (connect, submit); 1 = no retry (default 8)\n"
       << "  --connect-timeout MS  with --connect: dial + hello deadline,\n"
       << "                   0 = block forever (default 10000)\n"
-      << "  --worker         serve dispatch point frames on stdin/stdout\n"
+      << "  --worker         serve a dispatch host on the socket at fd 0\n"
       << "                   (spawned by hoval_dispatch; see README)\n"
       << "  --dump-scenario  print the scenario the flags describe as JSON\n"
       << "  --algorithm ate|utea|otr|uv|lastvoting|phaseking   (default ate)\n"
@@ -602,13 +602,14 @@ int main(int argc, char** argv) {
     }
     const CliOptions options = parse(argc, argv);
     if (options.worker) {
-      // Dispatch worker mode: serve point frames on stdin/stdout until the
-      // host closes the pipe.  Thread count comes from the dispatcher via
-      // HOVAL_WORKER_THREADS, overridable locally with --threads.
+      // Dispatch worker mode: a hovald server on the host's socket (fd 0)
+      // until the host closes it.  Thread count comes from the dispatcher
+      // via HOVAL_WORKER_THREADS, overridable locally with --threads.
       const int threads = options.threads_set
                               ? options.threads
                               : dispatch::worker_threads_from_env(1);
-      return dispatch::run_worker_loop(0, 1, threads);
+      service::Server(dispatch::worker_server_config(threads), 0).run();
+      return 0;
     }
     if (options.list) return list_registries();
     if (!options.sweep_file.empty() && !options.scenario_file.empty()) {

@@ -1,9 +1,9 @@
 /// hoval_dispatch — cross-process sweep sharding.
 ///
 /// Expands a sweep document into its point list, spawns N worker
-/// processes, streams one point at a time to each over a pipe
-/// (dispatch/wire.hpp) and merges the returned result documents in point
-/// order.  Per-point results are bit-identical to `hoval_cli --sweep` of
+/// processes, submits one point at a time to each over a socket (every
+/// worker is a hovald server; service/protocol.hpp) and merges the
+/// returned result documents in point order.  Per-point results are bit-identical to `hoval_cli --sweep` of
 /// the same document at any worker count — compare the two `--out` files
 /// with cmp(1).  Workers that crash, get killed or time out have their
 /// in-flight point resubmitted to a survivor; points that keep killing
@@ -14,12 +14,14 @@
 ///                  [--out results.json] [--worker-cmd "prog args..."]
 ///                  [--max-attempts K] [--max-respawns R]
 ///                  [--timeout SECONDS] [--quiet]
-///   hoval_dispatch --worker          (spawned as a worker; not for humans)
 ///
-/// By default workers are forked from this process and run the worker loop
+/// By default workers are forked from this process and serve their socket
 /// in-process — no binary paths to plumb.  --worker-cmd execs an external
 /// worker instead (e.g. --worker-cmd "./hoval_cli --worker"), which is
 /// what a future multi-host transport would use.
+/// HOVAL_DISPATCH_TEST_KILL_WORKER=K SIGKILLs worker slot K right after its
+/// first point assignment (a guaranteed resubmission, for resilience
+/// tests).
 ///
 /// Exit status: 0 when every point completed and reported no safety
 /// violations; 1 when any point violated safety or was quarantined; 2 on
@@ -50,7 +52,6 @@ struct Options {
   double timeout_seconds = 0.0;
   int test_kill_worker = -1;
   bool quiet = false;
-  bool worker = false;
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -68,11 +69,7 @@ struct Options {
       << "                      (default 3)\n"
       << "  --max-respawns R    replacement-worker budget (default 8)\n"
       << "  --timeout SECONDS   kill a worker stuck on one point this long\n"
-      << "  --test-kill-worker K  SIGKILL worker slot K mid-sweep (also via\n"
-      << "                      HOVAL_DISPATCH_TEST_KILL_WORKER; CI uses\n"
-      << "                      this to exercise resubmission)\n"
-      << "  --quiet             suppress per-event progress on stderr\n"
-      << "  --worker            serve point frames on stdin/stdout\n";
+      << "  --quiet             suppress per-event progress on stderr\n";
   std::exit(2);
 }
 
@@ -98,9 +95,7 @@ Options parse(int argc, char** argv) {
     else if (arg == "--max-attempts") options.max_attempts = std::stoi(next());
     else if (arg == "--max-respawns") options.max_respawns = std::stoi(next());
     else if (arg == "--timeout") options.timeout_seconds = std::stod(next());
-    else if (arg == "--test-kill-worker") options.test_kill_worker = std::stoi(next());
     else if (arg == "--quiet") options.quiet = true;
-    else if (arg == "--worker") options.worker = true;
     else usage(argv[0]);
   }
   return options;
@@ -195,9 +190,10 @@ int run_dispatch(const Options& options) {
 
 int main(int argc, char** argv) {
   try {
-    // Chaos hook: both the host and --worker invocations install the plan
-    // (exec'd workers inherit the variable), so faults hit both pipe ends.
-    // Worker losses they cause are absorbed by resubmission + respawn.
+    // Chaos hook: the host installs the plan, forked workers inherit the
+    // injector and exec'd ones the variable, so faults hit both socket
+    // ends.  Worker losses they cause are absorbed by resubmission +
+    // respawn.
     try {
       if (faults::FaultInjector* injector = faults::install_fault_plan_from_env())
         std::cerr << "chaos: fault plan active: "
@@ -207,9 +203,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     const Options options = parse(argc, argv);
-    if (options.worker)
-      return dispatch::run_worker_loop(0, 1,
-                                       dispatch::worker_threads_from_env(1));
     if (options.sweep_file.empty()) usage(argv[0]);
     return run_dispatch(options);
   } catch (const ScenarioError& e) {
